@@ -55,7 +55,8 @@ inline void check(bool cond, std::string_view msg,
 
 }  // namespace grout
 
-// Macro spellings kept for grep-ability and to guarantee no argument
-// evaluation surprises; they forward to the functions above.
-#define GROUT_CHECK(cond, msg) ::grout::check((cond), (msg))
-#define GROUT_REQUIRE(cond, msg) ::grout::require((cond), (msg))
+// Macro spellings of the functions above. The condition is evaluated
+// exactly once, the message only when the check fails: a message built by
+// string concatenation costs nothing on a hot path that passes.
+#define GROUT_CHECK(cond, msg) ((cond) ? void() : ::grout::check(false, (msg)))
+#define GROUT_REQUIRE(cond, msg) ((cond) ? void() : ::grout::require(false, (msg)))

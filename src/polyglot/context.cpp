@@ -59,22 +59,6 @@ void DeviceArray::set(std::size_t i, double v) {
   mark_host_dirty();
 }
 
-void DeviceArray::fill(double v) {
-  if (materialized()) {
-    const ArrayBinding b = binding();
-    for (std::size_t i = 0; i < count_; ++i) b.set(i, v);
-  }
-  mark_host_dirty();
-}
-
-void DeviceArray::init(const std::function<double(std::size_t)>& fn) {
-  if (materialized()) {
-    const ArrayBinding b = binding();
-    for (std::size_t i = 0; i < count_; ++i) b.set(i, fn(i));
-  }
-  mark_host_dirty();
-}
-
 void DeviceArray::flush_host_writes() {
   if (!host_dirty_) return;
   ctx_.backend().notify_host_write(ref_);
@@ -278,15 +262,21 @@ void Context::launch(const BoundKernel& bound, const std::vector<Value>& args,
   std::vector<std::shared_ptr<DeviceArray>> arrays;
   std::vector<double> scalars;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const KernelParamInfo& p = kernel.params()[i];
-    if (p.pointer) {
-      std::shared_ptr<DeviceArray> arr = args[i].as_array();
-      arr->flush_host_writes();
-      arrays.push_back(std::move(arr));
+    if (kernel.params()[i].pointer) {
+      arrays.push_back(args[i].as_array());
     } else {
       scalars.push_back(args[i].as_number());
     }
   }
+  // A native kernel runs as one typed instantiation per launch, so its
+  // arrays must share one element type.
+  if (kernel.native() != nullptr) {
+    for (const auto& a : arrays) {
+      GROUT_REQUIRE(a->type() == arrays.front()->type(),
+                    "native kernel '" + kernel.name() + "' mixes array element types");
+    }
+  }
+  for (const auto& a : arrays) a->flush_host_writes();
 
   // Simulated launch.
   gpusim::KernelLaunchSpec spec;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,11 +55,25 @@ class DeviceArray {
   void set(std::size_t i, double v);
 
   /// Fill every element with `v` (bulk host write, one CE).
-  void fill(double v);
+  void fill(double v) {
+    init([v](std::size_t) { return v; });
+  }
 
-  /// Initialize via `fn(i)` (bulk host write, one CE). On unmaterialized
-  /// arrays only the footprint/CE is recorded.
-  void init(const std::function<double(std::size_t)>& fn);
+  /// Initialize via `fn(i)`, a double per element index, stored with the
+  /// same conversion as set() (bulk host write, one CE). On unmaterialized
+  /// arrays only the footprint/CE is recorded and `fn` is not called.
+  template <typename Fn>
+  void init(Fn&& fn) {
+    if (materialized()) {
+      visit(type_, [&]<typename T>(T) {
+        T* out = reinterpret_cast<T*>(storage_.data());
+        for (std::size_t i = 0; i < count_; ++i) {
+          out[i] = static_cast<T>(static_cast<double>(fn(i)));
+        }
+      });
+    }
+    mark_host_dirty();
+  }
 
   /// Emit the pending host-write CE, if any.
   void flush_host_writes();

@@ -119,6 +119,19 @@ TEST(WorkloadTest, SharedMatrixMvOnGroutVerifies) {
   EXPECT_TRUE(w->verify(ctx));
 }
 
+TEST(WorkloadTest, CgWithoutMatrixStorageIsUnverifiable) {
+  // At 2 MiB, r is 2.8 KiB and each A block 512 KiB: with a 64 KiB limit
+  // the vectors and t blocks carry storage but A does not, so no spmv
+  // produces the t blocks and the residual means nothing.
+  Context::Config cfg;
+  cfg.materialize_limit = 64_KiB;
+  Context ctx(std::make_unique<polyglot::GrCudaBackend>(small_node()), cfg);
+  auto w = make_workload(WorkloadKind::Cg, tiny());
+  const WorkloadResult r = execute_workload(ctx, *w);
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(w->verify(ctx));
+}
+
 TEST(WorkloadTest, TinyCapReportsOutOfTime) {
   core::GroutConfig cfg;
   cfg.cluster.workers = 2;
