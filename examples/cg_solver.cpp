@@ -3,19 +3,19 @@
 // Solves A x = b for a dense symmetric positive-definite matrix,
 // row-partitioned across CEs that GrOUT schedules over two worker nodes.
 // The residual is computed on the controller after fetching the vectors
-// back — demonstrating host_fetch and the coherence directory.
+// back — demonstrating host_fetch and the coherence directory. The kernels
+// are the CG workload's own native host kernels (workloads/host_kernels.hpp).
 #include <cmath>
 #include <cstdio>
 
 #include "polyglot/context.hpp"
 #include "polyglot/interpreter.hpp"
+#include "workloads/host_kernels.hpp"
 
 namespace {
 
 using namespace grout;
-using polyglot::ArrayBinding;
 using polyglot::Context;
-using polyglot::KernelArgs;
 using polyglot::Value;
 
 constexpr std::size_t kN = 512;
@@ -27,47 +27,6 @@ double matrix_entry(std::size_t row, std::size_t col) {
   if (row == col) return static_cast<double>(kN);
   const auto d = static_cast<double>(row > col ? row - col : col - row);
   return 1.0 / (1.0 + d);
-}
-
-void spmv_host(const KernelArgs& args, std::size_t, std::size_t) {
-  const ArrayBinding& a = args.arrays[0];
-  const ArrayBinding& p = args.arrays[1];
-  const ArrayBinding& t = args.arrays[2];
-  const auto rows = static_cast<std::size_t>(args.scalars[0]);
-  const auto cols = static_cast<std::size_t>(args.scalars[1]);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += a.get(r * cols + c) * p.get(c);
-    t.set(r, acc);
-  }
-}
-
-void cg_step_host(const KernelArgs& args, std::size_t, std::size_t) {
-  const std::size_t partitions = args.arrays.size() - 3;
-  const ArrayBinding& r = args.arrays[partitions];
-  const ArrayBinding& p = args.arrays[partitions + 1];
-  const ArrayBinding& x = args.arrays[partitions + 2];
-  const auto n = static_cast<std::size_t>(args.scalars[0]);
-  const auto rows = static_cast<std::size_t>(args.scalars[1]);
-  const auto t_at = [&](std::size_t i) { return args.arrays[i / rows].get(i % rows); };
-
-  double rr = 0.0;
-  double pt = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    rr += r.get(i) * r.get(i);
-    pt += p.get(i) * t_at(i);
-  }
-  if (pt == 0.0) return;
-  const double alpha = rr / pt;
-  double rr_new = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    x.set(i, x.get(i) + alpha * p.get(i));
-    const double ri = r.get(i) - alpha * t_at(i);
-    r.set(i, ri);
-    rr_new += ri * ri;
-  }
-  const double beta = rr == 0.0 ? 0.0 : rr_new / rr;
-  for (std::size_t i = 0; i < n; ++i) p.set(i, r.get(i) + beta * p.get(i));
 }
 
 }  // namespace
@@ -98,7 +57,7 @@ int main() {
       "spmv",
       {pointer("a", uvm::AccessMode::Read), pointer("p", uvm::AccessMode::Read),
        pointer("t", uvm::AccessMode::Write), scalar("rows"), scalar("cols")},
-      spmv_host, 2.0 * kN);
+      workloads::host_spmv, 2.0 * kN);
 
   std::vector<polyglot::KernelParamInfo> step_params;
   for (std::size_t j = 0; j < kPartitions; ++j) {
@@ -109,7 +68,8 @@ int main() {
   step_params.push_back(pointer("x", uvm::AccessMode::ReadWrite));
   step_params.push_back(scalar("n"));
   step_params.push_back(scalar("rows"));
-  auto step = ctx.register_native_kernel("cg-step", std::move(step_params), cg_step_host, 12.0,
+  auto step = ctx.register_native_kernel("cg-step", std::move(step_params),
+                                         workloads::host_cg_step, 12.0,
                                          uvm::Parallelism::Moderate);
 
   // Data: the SPD matrix blocks plus the CG vectors; b = ones.

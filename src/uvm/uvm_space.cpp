@@ -1,15 +1,18 @@
 #include "uvm/uvm_space.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
-#include <unordered_set>
 
 namespace grout::uvm {
 
 namespace {
 
 constexpr std::size_t kEvictionScanLimit = 64;
+/// Residency masks are 16 bits wide: the host bit plus one per device.
+constexpr std::size_t kMaxDevices = 15;
 
 }  // namespace
 
@@ -18,13 +21,15 @@ UvmSpace::UvmSpace(sim::Engine& simulator, UvmTuning tuning,
                    std::uint64_t seed)
     : sim_{simulator}, tuning_{tuning}, eviction_{eviction}, rng_{seed} {
   GROUT_REQUIRE(!devices.empty(), "UvmSpace requires at least one device");
-  GROUT_REQUIRE(devices.size() <= 15, "at most 15 devices per node (residency mask width)");
+  GROUT_REQUIRE(devices.size() <= kMaxDevices,
+                "at most 15 devices per node (residency mask width)");
   GROUT_REQUIRE(tuning_.page_size > 0, "page size must be positive");
   devices_.reserve(devices.size());
   for (auto& cfg : devices) {
     DeviceState dev;
     dev.capacity_pages = static_cast<std::size_t>(cfg.capacity / tuning_.page_size);
     GROUT_REQUIRE(dev.capacity_pages > 0, "device capacity smaller than one page");
+    dev.ring_limit = std::max<std::size_t>(4 * dev.capacity_pages, 1024);
     dev.h2d = std::make_unique<sim::Resource>(sim_, cfg.name + "/h2d", cfg.pcie_bw,
                                               cfg.pcie_latency);
     dev.d2h = std::make_unique<sim::Resource>(sim_, cfg.name + "/d2h", cfg.pcie_bw,
@@ -57,15 +62,7 @@ ArrayId UvmSpace::alloc(Bytes bytes, std::string name) {
 void UvmSpace::free_array(ArrayId id) {
   ArrayInfo& arr = array_ref(id);
   GROUT_REQUIRE(arr.live, "double free of managed array");
-  for (std::uint32_t p = 0; p < arr.pages.size(); ++p) {
-    PageState& st = arr.pages[p];
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (st.mask & device_bit(d)) {
-        --devices_[d].used_pages;
-      }
-    }
-    st.mask = host_bit();
-  }
+  for (PageState& st : arr.pages) set_sole_copy(st, host_bit());
   for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
     devices_[d].sticky_pages -= arr.sticky_per_device[d];
   }
@@ -107,38 +104,35 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
   dev.current_epoch = ++epoch_counter_;
 
   TouchCounters c;
-  Bytes remote_bytes = 0;
-
   for (const ParamAccess& pa : params) {
     ArrayInfo& arr = array_ref(pa.array);
     const ByteRange range = normalize_range(arr, pa.range);
     if (range.empty()) continue;
+    const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const auto last = static_cast<std::uint32_t>(
+        std::min<Bytes>((range.end + tuning_.page_size - 1) / tuning_.page_size, arr.pages.size()));
+    if (first >= last) continue;
 
-    // AccessedBy mapping for this device: pages are served remotely until
-    // the access counter promotes them (Volta-style hot-page migration).
-    if (arr.advise == Advise::AccessedBy && arr.advise_device == device) {
-      const std::uint32_t promote_at = tuning_.access_counter_threshold;
-      for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
-        PageState& st = arr.pages[page];
-        if (st.mask & device_bit(device)) {
-          // Already promoted: a plain local touch.
-          touch_page(device, pa.array, page, pa.mode, hot, c);
-          return;
-        }
-        if (promote_at > 0 && ++st.remote_hits >= promote_at) {
-          st.remote_hits = 0;
-          touch_page(device, pa.array, page, pa.mode, hot, c);  // migrate
-        } else {
-          remote_bytes += page_bytes(arr, page);
-        }
-      });
-      continue;
+    if (const auto* s = std::get_if<StreamingPattern>(&pa.pattern)) {
+      for (std::uint32_t pass = 0; pass < s->passes; ++pass) {
+        touch_range(device, pa.array, first, last, 1, pa.mode, false, c);
+      }
+    } else if (std::get_if<HotReusePattern>(&pa.pattern)) {
+      touch_range(device, pa.array, first, last, 1, pa.mode, true, c);
+    } else if (const auto* rp = std::get_if<RandomPattern>(&pa.pattern)) {
+      const std::uint32_t n = last - first;
+      Rng rng(rp->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
+      const auto touches = static_cast<std::uint64_t>(std::llround(rp->fraction * n));
+      for (std::uint64_t i = 0; i < touches; ++i) {
+        const std::uint32_t p = first + static_cast<std::uint32_t>(rng.next_below(n));
+        touch_range(device, pa.array, p, p + 1, 1, pa.mode, false, c);
+      }
+    } else if (const auto* st = std::get_if<StridedPattern>(&pa.pattern)) {
+      GROUT_REQUIRE(st->stride > 0, "zero stride");
+      touch_range(device, pa.array, first, last, st->stride, pa.mode, false, c);
     }
-
-    for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
-      touch_page(device, pa.array, page, pa.mode, hot, c);
-    });
   }
+  const Bytes remote_bytes = c.remote;
 
   AccessReport r;
   r.bytes_touched = c.touched + remote_bytes;
@@ -232,172 +226,264 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
   return result;
 }
 
-void UvmSpace::touch_page(DeviceId device, ArrayId id, std::uint32_t page, AccessMode mode,
-                          bool hot, TouchCounters& c) {
-  ArrayInfo& arr = array_ref(id);
-  DeviceState& dev = device_ref(device);
+Bytes UvmSpace::evict_copy(ArrayInfo& arr, std::uint32_t page, DeviceState& dev,
+                           std::uint16_t bit) {
   PageState& st = arr.pages[page];
-  const Bytes pb = page_bytes(arr, page);
-  const std::uint16_t bit = device_bit(device);
-
-  c.touched += pb;
-  if (st.mask & bit) {
-    c.hit += pb;
-    if (st.prefetched) {
-      st.prefetched = false;
-      stats_.prefetch_useful += pb;
-    }
-  } else {
-    ++c.faults;
-    // Make room first: faulting into a full device evicts on the critical
-    // path (the classification below depends on whether that happened).
-    const std::uint64_t evictions_before = c.evictions;
-    while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(device, c)) break;
-    }
-    const bool evicted_now = c.evictions != evictions_before;
-    GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
-    const bool needs_copy = st.populated;
-
-    // Migration vs read-duplication.
-    if (writes(mode)) {
-      // Exclusive ownership: every other copy is superseded.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
-      st.mask = bit;
-    } else if (arr.advise == Advise::ReadMostly) {
-      st.mask |= bit;  // duplicate
-    } else {
-      // Plain migration: the page moves; previous holders lose it.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
-      st.mask = bit;
-    }
-    ++dev.used_pages;
-    if (!(st.ever_mask & bit)) {
-      st.ever_mask |= bit;
-      ++dev.sticky_pages;
-      ++arr.sticky_per_device[device];
-    }
-    dev.ring.push_back(RingEntry{id, page});
-    if (dev.ring.size() > std::max<std::size_t>(4 * dev.capacity_pages, 1024)) {
-      compact_ring(dev);
-    }
-
-    st.prefetched = false;  // migrated on a fault: any prior prefetch was wasted
-    if (!needs_copy) {
-      c.populate_alloc += pb;  // first touch: map device-side, no H2D copy
-    } else if (evicted_now) {
-      c.evict_fetch += pb;
-    } else {
-      c.healthy_fetch += pb;
-      if (!effective_prefetch(arr)) c.healthy_fetch_nopf += pb;
-    }
-  }
-
-  if (writes(mode)) st.populated = true;
-
-  if (writes(mode) && (st.mask & ~bit) != 0) {
-    // A hit that writes also invalidates the other copies.
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (d != device && (st.mask & device_bit(d))) {
-        st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-        --devices_[d].used_pages;
-      }
-    }
-    st.mask = bit;
-  }
-
-  st.touch_epoch = dev.current_epoch;
-  st.hot = hot;
-}
-
-bool UvmSpace::evict_one(DeviceId device, TouchCounters& c) {
-  DeviceState& dev = device_ref(device);
-  const std::uint16_t bit = device_bit(device);
-  std::size_t second_chances = 0;
-
-  if (eviction_ == EvictionPolicyKind::Random) {
-    // Try random picks first; fall back to a head scan on bad luck.
-    for (int attempt = 0; attempt < 16 && !dev.ring.empty(); ++attempt) {
-      const std::size_t idx = static_cast<std::size_t>(rng_.next_below(dev.ring.size()));
-      const RingEntry entry = dev.ring[idx];
-      dev.ring[idx] = dev.ring.back();
-      dev.ring.pop_back();
-      ArrayInfo& arr = arrays_[entry.array];
-      if (!arr.live || entry.page >= arr.pages.size()) continue;
-      if (!(arr.pages[entry.page].mask & bit)) continue;
-      drop_residency(entry.array, entry.page, device, c);
-      ++c.evictions;
-      return true;
-    }
-  }
-
-  std::size_t iterations = dev.ring.size() + kEvictionScanLimit;
-  while (iterations-- > 0 && !dev.ring.empty()) {
-    const RingEntry entry = dev.ring.front();
-    dev.ring.pop_front();
-    ArrayInfo& arr = arrays_[entry.array];
-    if (!arr.live || entry.page >= arr.pages.size()) continue;
-    PageState& st = arr.pages[entry.page];
-    if (!(st.mask & bit)) continue;  // stale entry
-
-    if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit) {
-      const bool protected_hot = st.hot && st.touch_epoch == dev.current_epoch;
-      const bool preferred_here =
-          arr.advise == Advise::PreferredLocation && arr.advise_device == device;
-      if (protected_hot || preferred_here) {
-        dev.ring.push_back(entry);
-        ++second_chances;
-        continue;
-      }
-    }
-
-    drop_residency(entry.array, entry.page, device, c);
-    ++c.evictions;
-    return true;
-  }
-  return false;
-}
-
-void UvmSpace::drop_residency(ArrayId id, std::uint32_t page, DeviceId device,
-                              TouchCounters& c) {
-  ArrayInfo& arr = arrays_[id];
-  PageState& st = arr.pages[page];
-  const std::uint16_t bit = device_bit(device);
-  GROUT_CHECK((st.mask & bit) != 0, "dropping a page that is not resident here");
-  st.mask &= static_cast<std::uint8_t>(~bit);
+  st.mask = static_cast<std::uint16_t>(st.mask & ~bit);
   st.prefetched = false;  // evicted before a touch: the prefetch was wasted
-  --devices_[device].used_pages;
-  if (st.mask == 0) {
-    // Only copy: eviction migrates it back to host memory (unless the page
-    // never held real data, in which case it is simply dropped).
-    st.mask = host_bit();
-    if (st.populated) c.writeback += page_bytes(arr, page);
+  --dev.used_pages;
+  if (st.mask != 0) return 0;
+  // Only copy: eviction migrates it back to host memory (unless the page
+  // never held real data, in which case it is simply dropped).
+  st.mask = host_bit();
+  return st.populated ? page_bytes(arr, page) : 0;
+}
+
+void UvmSpace::touch_range(DeviceId device, ArrayId id, std::uint32_t first,
+                           std::uint32_t last, std::uint32_t step, AccessMode mode, bool hot,
+                           TouchCounters& c) {
+  ArrayInfo& arr = arrays_[id];
+  DeviceState& dev = devices_[static_cast<std::size_t>(device)];
+  PageState* const pages = arr.pages.data();
+  const std::uint16_t bit = device_bit(device);
+  const bool write = writes(mode);
+  const bool duplicate = !write && arr.advise == Advise::ReadMostly;
+  const bool remote_mapped = arr.advise == Advise::AccessedBy && arr.advise_device == device;
+  const std::uint32_t promote_at = tuning_.access_counter_threshold;
+  const bool prefetcher = effective_prefetch(arr);
+  const std::uint32_t epoch = dev.current_epoch;
+  const Bytes page_size = tuning_.page_size;
+  const auto tail = static_cast<std::uint32_t>(arr.pages.size() - 1);
+  const Bytes tail_bytes = page_bytes(arr, tail);
+  const bool clock = eviction_ == EvictionPolicyKind::ClockLru;
+  const bool random = eviction_ == EvictionPolicyKind::Random;
+
+  // The array of the ring's front entry, looked up once per run of entries
+  // from the same array.
+  ArrayId victim_id = kInvalidArray;
+  ArrayInfo* victim_arr = nullptr;
+  bool victim_preferred = false;
+
+  Bytes touched = 0;
+  Bytes hit = 0;
+  Bytes remote = 0;
+  Bytes healthy_fetch = 0;
+  Bytes healthy_fetch_nopf = 0;
+  Bytes evict_fetch = 0;
+  Bytes populate_alloc = 0;
+  Bytes writeback = 0;
+  Bytes prefetch_useful = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t evictions = 0;
+
+  for (std::uint32_t p = first; p < last; p += step) {
+    PageState& st = pages[p];
+    const Bytes pb = p == tail ? tail_bytes : page_size;
+    if (st.mask & bit) {
+      hit += pb;
+      if (st.prefetched) {
+        st.prefetched = false;
+        prefetch_useful += pb;
+      }
+      // A hit that writes also invalidates the other copies.
+      if (write && st.mask != bit) set_sole_copy(st, bit);
+    } else {
+      if (remote_mapped) {
+        // AccessedBy mapping for this device: served remotely until the
+        // access counter promotes the page (Volta-style hot-page migration).
+        if (promote_at == 0 || ++st.remote_hits < promote_at) {
+          remote += pb;
+          continue;
+        }
+        st.remote_hits = 0;
+      }
+      ++faults;
+      // Make room first: faulting into a full device evicts on the critical
+      // path (the classification below depends on whether that happened).
+      std::uint64_t evicted = 0;
+      while (dev.used_pages >= dev.capacity_pages) {
+        // Fast path: the ring's front entry is resident and not due a
+        // second chance, so it is the victim. Anything else takes the
+        // general scan, which starts from the same front entry.
+        PageState* victim = nullptr;
+        RingEntry entry{};
+        if (!random && !dev.ring.empty()) {
+          entry = dev.ring.front();
+          if (entry.array != victim_id) {
+            victim_id = entry.array;
+            victim_arr = &arrays_[entry.array];
+            victim_preferred = victim_arr->advise == Advise::PreferredLocation &&
+                            victim_arr->advise_device == device;
+          }
+          if (victim_arr->live && entry.page < victim_arr->pages.size()) {
+            PageState& vs = victim_arr->pages[entry.page];
+            const bool second_chance =
+                clock && (victim_preferred || (vs.hot && vs.touch_epoch == epoch));
+            if ((vs.mask & bit) && !second_chance) victim = &vs;
+          }
+        }
+        if (victim == nullptr) {
+          const std::uint64_t victims = make_room(device, writeback);
+          evicted += victims;
+          break;
+        }
+        dev.ring.pop_front();
+        writeback += evict_copy(*victim_arr, entry.page, dev, bit);
+        ++evicted;
+      }
+      evictions += evicted;
+      GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
+      const bool needs_copy = st.populated;
+
+      // Read-duplication, or migration: a write takes exclusive ownership
+      // and a plain read moves the page; either way previous holders lose it.
+      if (duplicate) {
+        st.mask |= bit;
+      } else if ((st.mask & ~host_bit()) != 0) {
+        set_sole_copy(st, bit);
+      } else {
+        st.mask = bit;
+      }
+      ++dev.used_pages;
+      if (!(st.ever_mask & bit)) {
+        st.ever_mask |= bit;
+        ++dev.sticky_pages;
+        ++arr.sticky_per_device[static_cast<std::size_t>(device)];
+      }
+      dev.ring.push_back(RingEntry{id, p});
+      if (dev.ring.size() > dev.ring_limit) compact_ring(device);
+
+      st.prefetched = false;  // migrated on a fault: any prior prefetch was wasted
+      if (!needs_copy) {
+        populate_alloc += pb;  // first touch: map device-side, no H2D copy
+      } else if (evicted != 0) {
+        evict_fetch += pb;
+      } else {
+        healthy_fetch += pb;
+        if (!prefetcher) healthy_fetch_nopf += pb;
+      }
+    }
+    touched += pb;
+    if (write) st.populated = true;
+    st.touch_epoch = epoch;
+    st.hot = hot;
+  }
+
+  c.touched += touched;
+  c.hit += hit;
+  c.remote += remote;
+  c.healthy_fetch += healthy_fetch;
+  c.healthy_fetch_nopf += healthy_fetch_nopf;
+  c.evict_fetch += evict_fetch;
+  c.populate_alloc += populate_alloc;
+  c.writeback += writeback;
+  c.faults += faults;
+  c.evictions += evictions;
+  stats_.prefetch_useful += prefetch_useful;
+}
+
+std::uint64_t UvmSpace::make_room(DeviceId device, Bytes& writeback) {
+  DeviceState& dev = devices_[static_cast<std::size_t>(device)];
+  Ring& ring = dev.ring;
+  const std::uint16_t bit = device_bit(device);
+
+  // The array of the last ring entry looked at: runs of consecutive entries
+  // usually come from one array.
+  ArrayId cached_id = kInvalidArray;
+  ArrayInfo* cached = nullptr;
+  bool preferred_here = false;
+  // The victim's resident state on this device, or nullptr for a stale
+  // entry (freed array or page no longer here).
+  const auto resident = [&](const RingEntry& entry) -> PageState* {
+    if (entry.array != cached_id) {
+      cached_id = entry.array;
+      cached = &arrays_[entry.array];
+      preferred_here =
+          cached->advise == Advise::PreferredLocation && cached->advise_device == device;
+    }
+    if (!cached->live || entry.page >= cached->pages.size()) return nullptr;
+    PageState& st = cached->pages[entry.page];
+    return (st.mask & bit) != 0 ? &st : nullptr;
+  };
+
+  std::uint64_t victims = 0;
+  while (dev.used_pages >= dev.capacity_pages) {
+    bool found = false;
+    if (eviction_ == EvictionPolicyKind::Random) {
+      // Try random picks first; fall back to a head scan on bad luck.
+      for (int attempt = 0; attempt < 16 && !ring.empty(); ++attempt) {
+        const auto idx = static_cast<std::size_t>(rng_.next_below(ring.size()));
+        const RingEntry entry = ring[idx];
+        ring[idx] = ring.back();
+        ring.pop_back();
+        if (resident(entry) != nullptr) {
+          writeback += evict_copy(*cached, entry.page, dev, bit);
+          found = true;
+          break;
+        }
+      }
+    }
+    std::size_t second_chances = 0;
+    std::size_t iterations = ring.size() + kEvictionScanLimit;
+    while (!found && iterations-- > 0 && !ring.empty()) {
+      const RingEntry entry = ring.front();
+      ring.pop_front();
+      PageState* st = resident(entry);
+      if (st == nullptr) continue;  // stale entry
+
+      if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit) {
+        const bool protected_hot = st->hot && st->touch_epoch == dev.current_epoch;
+        if (protected_hot || preferred_here) {
+          ring.push_back(entry);
+          ++second_chances;
+          continue;
+        }
+      }
+      writeback += evict_copy(*cached, entry.page, dev, bit);
+      found = true;
+    }
+    if (!found) break;
+    ++victims;
+  }
+  return victims;
+}
+
+void UvmSpace::set_sole_copy(PageState& st, std::uint16_t owner) {
+  for (unsigned others = st.mask & ~owner & ~host_bit(); others != 0; others &= others - 1) {
+    --devices_[static_cast<std::size_t>(std::countr_zero(others) - 1)].used_pages;
+  }
+  st.mask = owner;
+}
+
+void UvmSpace::compact_ring(DeviceId device) {
+  DeviceState& dev = devices_[static_cast<std::size_t>(device)];
+  const std::uint16_t bit = device_bit(device);
+  // Keep the first live entry of each resident page, marking pages as kept.
+  dev.ring.retain([&](const RingEntry& entry) {
+    ArrayInfo& arr = arrays_[entry.array];
+    if (!arr.live || entry.page >= arr.pages.size()) return false;
+    PageState& st = arr.pages[entry.page];
+    if (!(st.mask & bit) || st.ring_mark) return false;
+    st.ring_mark = true;
+    return true;
+  });
+  for (std::size_t i = 0; i < dev.ring.size(); ++i) {
+    const RingEntry& entry = dev.ring[i];
+    arrays_[entry.array].pages[entry.page].ring_mark = false;
   }
 }
 
-void UvmSpace::compact_ring(DeviceState& dev) {
-  const std::uint16_t bit =
-      device_bit(static_cast<DeviceId>(&dev - devices_.data()));
-  std::unordered_set<std::uint64_t> seen;
-  std::deque<RingEntry> fresh;
-  for (const RingEntry& entry : dev.ring) {
-    const ArrayInfo& arr = arrays_[entry.array];
-    if (!arr.live || entry.page >= arr.pages.size()) continue;
-    if (!(arr.pages[entry.page].mask & bit)) continue;
-    const std::uint64_t key = (static_cast<std::uint64_t>(entry.array) << 32) | entry.page;
-    if (seen.insert(key).second) fresh.push_back(entry);
+void UvmSpace::Ring::grow() {
+  // Double the block table, rotated so the front's block comes first; the
+  // blocks keep their entries, only the table is rewritten.
+  const std::size_t blocks = blocks_.size();
+  std::vector<std::unique_ptr<RingEntry[]>> table(std::max<std::size_t>(2 * blocks, 2));
+  const std::size_t front_block = head_ >> kBlockShift;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    table[b] = std::move(blocks_[(front_block + b) % blocks]);
   }
-  dev.ring = std::move(fresh);
+  blocks_.swap(table);
+  head_ &= kBlockEntries - 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -411,19 +497,18 @@ HostAccessReport UvmSpace::host_access(ArrayId id, AccessMode mode, ByteRange ra
   const std::uint32_t last =
       static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
 
-  std::vector<Bytes> d2h_traffic(devices_.size(), 0);
+  std::array<Bytes, kMaxDevices> d2h_traffic{};
   Bytes migrated = 0;
   for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
     PageState& st = arr.pages[p];
     if (!(st.mask & host_bit())) {
-      // Page lives on some device; CPU touch migrates it home.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (st.mask & device_bit(d)) {
-          if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-          break;  // one source is enough
-        }
+      // Page lives on some device; CPU touch migrates it home from the
+      // lowest-numbered holder (one source is enough).
+      if (st.mask != 0) {
+        const auto d = static_cast<std::size_t>(std::countr_zero(st.mask) - 1);
+        if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
+        st.mask = static_cast<std::uint16_t>(st.mask & (st.mask - 1));
+        --devices_[d].used_pages;
       }
       migrated += page_bytes(arr, p);
       st.mask |= host_bit();
@@ -431,13 +516,7 @@ HostAccessReport UvmSpace::host_access(ArrayId id, AccessMode mode, ByteRange ra
     if (writes(mode)) {
       st.populated = true;
       // Host write supersedes any remaining device copies.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (st.mask & device_bit(d)) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
-      st.mask = host_bit();
+      set_sole_copy(st, host_bit());
     }
   }
 
@@ -470,13 +549,11 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
   DeviceState& dev = device_ref(device);
   TouchCounters c;
   Bytes fetch = 0;
+  const std::uint16_t bit = device_bit(device);
   for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
     PageState& st = arr.pages[p];
-    const std::uint16_t bit = device_bit(device);
     if (st.mask & bit) continue;
-    while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(device, c)) break;
-    }
+    if (dev.used_pages >= dev.capacity_pages) c.evictions += make_room(device, c.writeback);
     // Prefetch is a hint: when the device is full and nothing is evictable
     // (every resident page pinned by advice/heat), truncate the prefetch
     // cleanly — later pages fault on demand — instead of aborting.
@@ -484,13 +561,7 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
     if (arr.advise == Advise::ReadMostly) {
       st.mask |= bit;
     } else {
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
-      st.mask = bit;
+      set_sole_copy(st, bit);
     }
     ++dev.used_pages;
     if (!(st.ever_mask & bit)) {
@@ -517,13 +588,7 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
 void UvmSpace::adopt_host_copy(ArrayId id) {
   ArrayInfo& arr = array_ref(id);
   for (PageState& st : arr.pages) {
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (st.mask & device_bit(d)) {
-        st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-        --devices_[d].used_pages;
-      }
-    }
-    st.mask = host_bit();
+    set_sole_copy(st, host_bit());
     st.populated = true;
   }
 }
@@ -620,33 +685,6 @@ ByteRange UvmSpace::normalize_range(const ArrayInfo& arr, ByteRange range) const
   if (range.empty()) return ByteRange{0, arr.bytes};
   GROUT_REQUIRE(range.end <= arr.bytes, "access range past the end of the allocation");
   return range;
-}
-
-template <typename PageFn>
-void UvmSpace::for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
-                             PageFn&& fn) {
-  const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
-  const auto last = static_cast<std::uint32_t>(
-      std::min<Bytes>((range.end + tuning_.page_size - 1) / tuning_.page_size, arr.pages.size()));
-  if (first >= last) return;
-  const std::uint32_t n = last - first;
-
-  if (const auto* s = std::get_if<StreamingPattern>(&pattern)) {
-    for (std::uint32_t pass = 0; pass < s->passes; ++pass) {
-      for (std::uint32_t p = first; p < last; ++p) fn(p, false);
-    }
-  } else if (std::get_if<HotReusePattern>(&pattern)) {
-    for (std::uint32_t p = first; p < last; ++p) fn(p, true);
-  } else if (const auto* r = std::get_if<RandomPattern>(&pattern)) {
-    Rng rng(r->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
-    const auto touches = static_cast<std::uint64_t>(std::llround(r->fraction * n));
-    for (std::uint64_t i = 0; i < touches; ++i) {
-      fn(first + static_cast<std::uint32_t>(rng.next_below(n)), false);
-    }
-  } else if (const auto* st = std::get_if<StridedPattern>(&pattern)) {
-    GROUT_REQUIRE(st->stride > 0, "zero stride");
-    for (std::uint32_t p = first; p < last; p += st->stride) fn(p, false);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -154,6 +153,8 @@ class UvmSpace {
     /// Set by prefetch(); cleared (and counted useful) on the next touch
     /// hit, or silently on eviction/migration (a wasted prefetch).
     bool prefetched{false};
+    /// Scratch mark for compact_ring's duplicate check; false outside it.
+    bool ring_mark{false};
   };
 
   struct ArrayInfo {
@@ -173,13 +174,77 @@ class UvmSpace {
     std::uint32_t page;
   };
 
+  /// One device's FIFO of residency entries, oldest first. An entry goes
+  /// stale when its page leaves the device some other way (migration, host
+  /// access, free); scans skip those.
+  ///
+  /// A circular buffer over small fixed-size blocks: a block is allocated
+  /// when the back reaches it and released when the front leaves it, so the
+  /// buffer never reallocates or copies entries as it grows, and its memory
+  /// follows the ring's length.
+  class Ring {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// The i-th entry from the front.
+    RingEntry& operator[](std::size_t i) { return slot(head_ + i); }
+    RingEntry& front() { return slot(head_); }
+    RingEntry& back() { return slot(head_ + size_ - 1); }
+    void push_back(RingEntry entry) {
+      // One spare block keeps the back out of the front's block.
+      if (size_ + kBlockEntries >= capacity()) grow();
+      const std::size_t pos = wrap(head_ + size_++);
+      std::unique_ptr<RingEntry[]>& block = blocks_[pos >> kBlockShift];
+      if (!block) block = std::make_unique_for_overwrite<RingEntry[]>(kBlockEntries);
+      block[pos & (kBlockEntries - 1)] = entry;
+    }
+    void pop_front() {
+      --size_;
+      if ((++head_ & (kBlockEntries - 1)) == 0) {
+        blocks_[(head_ >> kBlockShift) - 1].reset();
+        if (head_ == capacity()) head_ = 0;
+      }
+    }
+    void pop_back() { --size_; }
+    /// Keep, in order, the entries for which `keep` returns true.
+    template <typename Keep>
+    void retain(Keep&& keep) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < size_; ++i) {
+        const RingEntry entry = (*this)[i];
+        if (keep(entry)) (*this)[kept++] = entry;
+      }
+      size_ = kept;
+    }
+
+   private:
+    static constexpr std::size_t kBlockShift = 6;
+    static constexpr std::size_t kBlockEntries = std::size_t{1} << kBlockShift;
+
+    [[nodiscard]] std::size_t capacity() const { return blocks_.size() << kBlockShift; }
+    [[nodiscard]] std::size_t wrap(std::size_t pos) const {
+      return pos < capacity() ? pos : pos - capacity();
+    }
+    RingEntry& slot(std::size_t pos) {
+      pos = wrap(pos);
+      return blocks_[pos >> kBlockShift][pos & (kBlockEntries - 1)];
+    }
+    void grow();
+
+    std::vector<std::unique_ptr<RingEntry[]>> blocks_;  ///< circular block table
+    std::size_t head_{0};  ///< position of the front entry
+    std::size_t size_{0};
+  };
+
   struct DeviceState {
     DeviceConfig config;
     std::size_t capacity_pages{0};
     std::size_t used_pages{0};
     /// Distinct pages ever faulted here (the driver's working-set pressure).
     std::size_t sticky_pages{0};
-    std::deque<RingEntry> ring;
+    Ring ring;
+    /// Ring length past which compact_ring drops stale and duplicate entries.
+    std::size_t ring_limit{0};
     std::uint32_t current_epoch{0};
     std::unique_ptr<sim::Resource> h2d;
     std::unique_ptr<sim::Resource> d2h;
@@ -195,6 +260,7 @@ class UvmSpace {
     Bytes writeback{0};
     Bytes hit{0};
     Bytes touched{0};
+    Bytes remote{0};  ///< served through an AccessedBy remote mapping
     std::uint64_t faults{0};
     std::uint64_t evictions{0};
   };
@@ -216,21 +282,27 @@ class UvmSpace {
   [[nodiscard]] Bytes page_bytes(const ArrayInfo& arr, std::uint32_t page) const;
   [[nodiscard]] ByteRange normalize_range(const ArrayInfo& arr, ByteRange range) const;
 
-  /// Touch one page from `device`; classifies hit/miss, evicts if needed.
-  void touch_page(DeviceId device, ArrayId id, std::uint32_t page, AccessMode mode, bool hot,
-                  TouchCounters& c);
+  /// Replay pages first, first + step, ... below `last` of array `id` from
+  /// `device`: classify hit/miss, make room, migrate or duplicate, and
+  /// account. Pages of an array AccessedBy `device` are served remotely
+  /// until the access counter promotes them.
+  void touch_range(DeviceId device, ArrayId id, std::uint32_t first, std::uint32_t last,
+                   std::uint32_t step, AccessMode mode, bool hot, TouchCounters& c);
 
-  /// Evict one page from `device`; returns false if nothing evictable.
-  bool evict_one(DeviceId device, TouchCounters& c);
+  /// Evict from `device` until a page is free or nothing is evictable.
+  /// Adds victim write-back bytes to `writeback`; returns the victim count.
+  std::uint64_t make_room(DeviceId device, Bytes& writeback);
 
-  /// Remove `device`'s residency bit; write back if it held the only copy.
-  void drop_residency(ArrayId id, std::uint32_t page, DeviceId device, TouchCounters& c);
+  /// Remove the copy of a victim page held by `dev` (residency `bit`).
+  /// Returns the write-back bytes: the page's, if that was its only copy
+  /// and it holds real data.
+  Bytes evict_copy(ArrayInfo& arr, std::uint32_t page, DeviceState& dev, std::uint16_t bit);
 
-  void compact_ring(DeviceState& dev);
+  /// Make `owner` (one residency bit) the page's only copy, releasing the
+  /// slot of every other device that held it.
+  void set_sole_copy(PageState& st, std::uint16_t owner);
 
-  template <typename PageFn>
-  void for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
-                     PageFn&& fn);
+  void compact_ring(DeviceId device);
 
   sim::Engine& sim_;
   UvmTuning tuning_;

@@ -1,0 +1,685 @@
+// The UVM fault engine as it was before the range-at-a-time rewrite, pinned
+// as a differential-test oracle.
+//
+// Every page a kernel parameter touches goes through one touch_page call,
+// patterns are replayed by a per-page callback, the eviction ring is a
+// std::deque, and the residency loops walk every device index. The one
+// change from that engine is the residency-mask fix in drop_residency
+// (a 16-bit clear, not an 8-bit one, so devices 7-14 keep their bits).
+// uvm::UvmSpace must produce identical reports, statistics and residency
+// after every operation (tests/test_uvm_differential.cpp).
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_set>
+#include <variant>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "sim/engine.hpp"
+#include "sim/resource.hpp"
+#include "uvm/uvm_space.hpp"
+
+namespace grout::oracle {
+
+using uvm::AccessMode;
+using uvm::AccessPattern;
+using uvm::AccessReport;
+using uvm::Advise;
+using uvm::ArrayId;
+using uvm::ByteRange;
+using uvm::DeviceAccessResult;
+using uvm::DeviceConfig;
+using uvm::DeviceId;
+using uvm::EvictionPolicyKind;
+using uvm::HostAccessReport;
+using uvm::kHostDevice;
+using uvm::ParamAccess;
+using uvm::Parallelism;
+using uvm::UvmStats;
+using uvm::UvmTuning;
+
+class PerPageUvmSpace {
+ public:
+  PerPageUvmSpace(sim::Engine& simulator, UvmTuning tuning, std::vector<DeviceConfig> devices,
+                  EvictionPolicyKind eviction = EvictionPolicyKind::ClockLru,
+                  std::uint64_t seed = 0x5eedULL)
+      : sim_{simulator}, tuning_{tuning}, eviction_{eviction}, rng_{seed} {
+    GROUT_REQUIRE(!devices.empty(), "UvmSpace requires at least one device");
+    GROUT_REQUIRE(devices.size() <= 15, "at most 15 devices per node (residency mask width)");
+    GROUT_REQUIRE(tuning_.page_size > 0, "page size must be positive");
+    devices_.reserve(devices.size());
+    for (auto& cfg : devices) {
+      DeviceState dev;
+      dev.capacity_pages = static_cast<std::size_t>(cfg.capacity / tuning_.page_size);
+      GROUT_REQUIRE(dev.capacity_pages > 0, "device capacity smaller than one page");
+      dev.h2d = std::make_unique<sim::Resource>(sim_, cfg.name + "/h2d", cfg.pcie_bw,
+                                                cfg.pcie_latency);
+      dev.d2h = std::make_unique<sim::Resource>(sim_, cfg.name + "/d2h", cfg.pcie_bw,
+                                                cfg.pcie_latency);
+      dev.config = std::move(cfg);
+      total_capacity_bytes_ += static_cast<Bytes>(dev.capacity_pages) * tuning_.page_size;
+      devices_.push_back(std::move(dev));
+    }
+  }
+
+  PerPageUvmSpace(const PerPageUvmSpace&) = delete;
+  PerPageUvmSpace& operator=(const PerPageUvmSpace&) = delete;
+
+  // -- allocation ----------------------------------------------------------
+
+  ArrayId alloc(Bytes bytes, std::string name) {
+    GROUT_REQUIRE(bytes > 0, "zero-byte managed allocation");
+    ArrayInfo info;
+    info.name = std::move(name);
+    info.bytes = bytes;
+    const auto pages =
+        static_cast<std::uint32_t>((bytes + tuning_.page_size - 1) / tuning_.page_size);
+    info.pages.assign(pages, PageState{});
+    info.sticky_per_device.assign(devices_.size(), 0);
+    info.live = true;
+    arrays_.push_back(std::move(info));
+    ++live_arrays_;
+    live_bytes_ += bytes;
+    return static_cast<ArrayId>(arrays_.size() - 1);
+  }
+
+  void free_array(ArrayId id) {
+    ArrayInfo& arr = array_ref(id);
+    GROUT_REQUIRE(arr.live, "double free of managed array");
+    for (std::uint32_t p = 0; p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+        if (st.mask & device_bit(d)) {
+          --devices_[d].used_pages;
+        }
+      }
+      st.mask = host_bit();
+    }
+    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+      devices_[d].sticky_pages -= arr.sticky_per_device[d];
+    }
+    arr.live = false;
+    arr.pages.clear();
+    arr.pages.shrink_to_fit();
+    --live_arrays_;
+    live_bytes_ -= arr.bytes;
+  }
+
+  void advise(ArrayId id, Advise advise, DeviceId device = kHostDevice) {
+    ArrayInfo& arr = array_ref(id);
+    if (advise == Advise::PreferredLocation || advise == Advise::AccessedBy) {
+      GROUT_REQUIRE(device >= 0 && device < static_cast<DeviceId>(devices_.size()),
+                    "advise requires a valid device");
+    }
+    arr.advise = advise;
+    arr.advise_device = device;
+  }
+
+  void set_prefetch_override(ArrayId id, std::optional<bool> enabled) {
+    array_ref(id).prefetch_override = enabled;
+  }
+
+  // -- accesses ------------------------------------------------------------
+
+  DeviceAccessResult device_access(DeviceId device, std::span<const ParamAccess> params,
+                                   Parallelism parallelism) {
+    DeviceState& dev = device_ref(device);
+    dev.current_epoch = ++epoch_counter_;
+
+    TouchCounters c;
+    Bytes remote_bytes = 0;
+
+    for (const ParamAccess& pa : params) {
+      ArrayInfo& arr = array_ref(pa.array);
+      const ByteRange range = normalize_range(arr, pa.range);
+      if (range.empty()) continue;
+
+      if (arr.advise == Advise::AccessedBy && arr.advise_device == device) {
+        const std::uint32_t promote_at = tuning_.access_counter_threshold;
+        for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
+          PageState& st = arr.pages[page];
+          if (st.mask & device_bit(device)) {
+            touch_page(device, pa.array, page, pa.mode, hot, c);
+            return;
+          }
+          if (promote_at > 0 && ++st.remote_hits >= promote_at) {
+            st.remote_hits = 0;
+            touch_page(device, pa.array, page, pa.mode, hot, c);
+          } else {
+            remote_bytes += page_bytes(arr, page);
+          }
+        });
+        continue;
+      }
+
+      for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
+        touch_page(device, pa.array, page, pa.mode, hot, c);
+      });
+    }
+
+    AccessReport r;
+    r.bytes_touched = c.touched + remote_bytes;
+    r.bytes_hit = c.hit;
+    r.healthy_fetch = c.healthy_fetch;
+    r.evict_fetch = c.evict_fetch;
+    r.populate_alloc = c.populate_alloc;
+    r.writeback = c.writeback;
+    r.remote_access = remote_bytes;
+    r.faults = c.faults;
+    r.evictions = c.evictions;
+    const auto capacity_bytes = static_cast<double>(dev.capacity_pages) *
+                                static_cast<double>(tuning_.page_size);
+    r.eviction_intensity =
+        capacity_bytes > 0 ? static_cast<double>(c.evictions) *
+                                 static_cast<double>(tuning_.page_size) / capacity_bytes
+                           : 0.0;
+    r.oversubscription = working_set_pressure();
+    r.storm = r.oversubscription >= tuning_.storm_oversubscription_threshold &&
+              c.evictions > 0;
+
+    const Bandwidth pcie = dev.config.pcie_bw;
+    SimTime fault_time = SimTime::zero();
+    if (r.storm) {
+      const double extra = r.oversubscription - tuning_.storm_oversubscription_threshold;
+      const double slowdown = 1.0 + tuning_.storm_compound * extra * extra;
+      const Bandwidth storm_bw =
+          Bandwidth::bytes_per_sec(tuning_.storm_bandwidth(parallelism).bps() / slowdown);
+      fault_time +=
+          storm_bw.transfer_time(r.healthy_fetch + r.evict_fetch + r.populate_alloc);
+    } else {
+      if (r.healthy_fetch > 0) {
+        const Bytes with_pf = r.healthy_fetch - c.healthy_fetch_nopf;
+        if (with_pf > 0) {
+          fault_time += pcie.transfer_time(with_pf);
+        }
+        if (c.healthy_fetch_nopf > 0) {
+          const Bandwidth degraded =
+              Bandwidth::bytes_per_sec(pcie.bps() * tuning_.no_prefetch_bw_factor);
+          fault_time += degraded.transfer_time(c.healthy_fetch_nopf);
+          const std::uint64_t pages = c.healthy_fetch_nopf / tuning_.page_size;
+          const std::uint64_t batches =
+              (pages + tuning_.healthy_batch_pages - 1) / tuning_.healthy_batch_pages;
+          fault_time += tuning_.fault_batch_latency * static_cast<std::int64_t>(batches);
+        }
+      }
+      if (r.evict_fetch > 0) {
+        const Bandwidth degraded =
+            Bandwidth::bytes_per_sec(pcie.bps() * tuning_.eviction_efficiency);
+        fault_time += degraded.transfer_time(r.evict_fetch);
+        fault_time += tuning_.eviction_overhead_per_page *
+                      static_cast<std::int64_t>(r.evictions);
+      }
+    }
+    if (remote_bytes > 0) {
+      const Bandwidth remote_bw =
+          Bandwidth::bytes_per_sec(pcie.bps() * tuning_.remote_access_efficiency);
+      fault_time += remote_bw.transfer_time(remote_bytes);
+    }
+    r.fault_time = fault_time;
+    r.writeback_time = r.writeback > 0 ? pcie.transfer_time(r.writeback) : SimTime::zero();
+
+    DeviceAccessResult result;
+    result.h2d_done = fault_time > SimTime::zero()
+                          ? dev.h2d->submit_duration(fault_time, r.healthy_fetch + r.evict_fetch)
+                          : sim_.now();
+    result.d2h_done = r.writeback_time > SimTime::zero()
+                          ? dev.d2h->submit_duration(r.writeback_time, r.writeback)
+                          : sim_.now();
+
+    stats_.bytes_fetched += r.healthy_fetch + r.evict_fetch;
+    stats_.bytes_written_back += r.writeback;
+    stats_.faults += r.faults;
+    stats_.evictions += r.evictions;
+    ++stats_.kernels;
+    if (r.storm) ++stats_.storm_kernels;
+
+    result.report = r;
+    return result;
+  }
+
+  HostAccessReport host_access(ArrayId id, AccessMode mode, ByteRange range = {}) {
+    ArrayInfo& arr = array_ref(id);
+    range = normalize_range(arr, range);
+    const std::uint32_t first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const std::uint32_t last =
+        static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
+
+    std::vector<Bytes> d2h_traffic(devices_.size(), 0);
+    Bytes migrated = 0;
+    for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      if (!(st.mask & host_bit())) {
+        for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+          if (st.mask & device_bit(d)) {
+            if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+            break;
+          }
+        }
+        migrated += page_bytes(arr, p);
+        st.mask |= host_bit();
+      }
+      if (uvm::writes(mode)) {
+        st.populated = true;
+        for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+          if (st.mask & device_bit(d)) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = host_bit();
+      }
+    }
+
+    SimTime done = sim_.now();
+    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+      if (d2h_traffic[d] > 0) {
+        const SimTime t = devices_[d].d2h->submit(d2h_traffic[d]);
+        done = std::max(done, t);
+      }
+    }
+
+    HostAccessReport r;
+    r.bytes_migrated = migrated;
+    r.duration = done - sim_.now();
+    return r;
+  }
+
+  SimTime prefetch(ArrayId id, DeviceId device, ByteRange range = {}) {
+    ArrayInfo& arr = array_ref(id);
+    range = normalize_range(arr, range);
+    const std::uint32_t first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const std::uint32_t last =
+        static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
+
+    if (device == kHostDevice) {
+      const HostAccessReport r = host_access(id, AccessMode::Read, range);
+      return sim_.now() + r.duration;
+    }
+
+    DeviceState& dev = device_ref(device);
+    TouchCounters c;
+    Bytes fetch = 0;
+    for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      const std::uint16_t bit = device_bit(device);
+      if (st.mask & bit) continue;
+      while (dev.used_pages >= dev.capacity_pages) {
+        if (!evict_one(device, c)) break;
+      }
+      if (dev.used_pages >= dev.capacity_pages) break;
+      if (arr.advise == Advise::ReadMostly) {
+        st.mask |= bit;
+      } else {
+        for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      }
+      ++dev.used_pages;
+      if (!(st.ever_mask & bit)) {
+        st.ever_mask |= bit;
+        ++dev.sticky_pages;
+        ++arr.sticky_per_device[device];
+      }
+      dev.ring.push_back(RingEntry{id, p});
+      st.prefetched = true;
+      if (st.populated) fetch += page_bytes(arr, p);
+    }
+
+    stats_.bytes_fetched += fetch;
+    stats_.prefetch_issued += fetch;
+    stats_.bytes_written_back += c.writeback;
+    stats_.evictions += c.evictions;
+
+    SimTime done = sim_.now();
+    if (fetch > 0) done = dev.h2d->submit(fetch);
+    if (c.writeback > 0) done = std::max(done, dev.d2h->submit(c.writeback));
+    return done;
+  }
+
+  void adopt_host_copy(ArrayId id) {
+    ArrayInfo& arr = array_ref(id);
+    for (PageState& st : arr.pages) {
+      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+        if (st.mask & device_bit(d)) {
+          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+          --devices_[d].used_pages;
+        }
+      }
+      st.mask = host_bit();
+      st.populated = true;
+    }
+  }
+
+  // -- inspection ----------------------------------------------------------
+
+  [[nodiscard]] Bytes resident_bytes(DeviceId device) const {
+    return static_cast<Bytes>(device_ref(device).used_pages) * tuning_.page_size;
+  }
+  [[nodiscard]] Bytes sticky_bytes(DeviceId device) const {
+    return static_cast<Bytes>(device_ref(device).sticky_pages) * tuning_.page_size;
+  }
+  [[nodiscard]] double working_set_pressure() const {
+    std::size_t sticky = 0;
+    std::size_t capacity = 0;
+    for (const DeviceState& dev : devices_) {
+      sticky += dev.sticky_pages;
+      capacity += dev.capacity_pages;
+    }
+    return static_cast<double>(sticky) / static_cast<double>(capacity);
+  }
+  [[nodiscard]] bool page_resident(ArrayId id, std::uint32_t page, DeviceId device) const {
+    const ArrayInfo& arr = array_ref(id);
+    GROUT_REQUIRE(page < arr.pages.size(), "page index out of range");
+    const std::uint16_t bit = device == kHostDevice ? host_bit() : device_bit(device);
+    return (arr.pages[page].mask & bit) != 0;
+  }
+  [[nodiscard]] std::uint32_t page_count(ArrayId id) const {
+    return static_cast<std::uint32_t>(array_ref(id).pages.size());
+  }
+  [[nodiscard]] const UvmStats& stats() const { return stats_; }
+
+ private:
+  struct PageState {
+    std::uint16_t mask{1};
+    std::uint16_t ever_mask{0};
+    std::uint8_t remote_hits{0};
+    std::uint32_t touch_epoch{0};
+    bool hot{false};
+    bool populated{false};
+    bool prefetched{false};
+  };
+
+  struct ArrayInfo {
+    std::string name;
+    Bytes bytes{0};
+    std::vector<PageState> pages;
+    std::vector<std::size_t> sticky_per_device;
+    Advise advise{Advise::None};
+    DeviceId advise_device{kHostDevice};
+    std::optional<bool> prefetch_override;
+    bool live{false};
+  };
+
+  struct RingEntry {
+    ArrayId array;
+    std::uint32_t page;
+  };
+
+  struct DeviceState {
+    DeviceConfig config;
+    std::size_t capacity_pages{0};
+    std::size_t used_pages{0};
+    std::size_t sticky_pages{0};
+    std::deque<RingEntry> ring;
+    std::uint32_t current_epoch{0};
+    std::unique_ptr<sim::Resource> h2d;
+    std::unique_ptr<sim::Resource> d2h;
+  };
+
+  struct TouchCounters {
+    Bytes healthy_fetch{0};
+    Bytes healthy_fetch_nopf{0};
+    Bytes evict_fetch{0};
+    Bytes populate_alloc{0};
+    Bytes writeback{0};
+    Bytes hit{0};
+    Bytes touched{0};
+    std::uint64_t faults{0};
+    std::uint64_t evictions{0};
+  };
+
+  static constexpr std::size_t kEvictionScanLimit = 64;
+
+  static constexpr std::uint16_t host_bit() { return 1u; }
+  static constexpr std::uint16_t device_bit(DeviceId d) {
+    return static_cast<std::uint16_t>(1u << (d + 1));
+  }
+
+  ArrayInfo& array_ref(ArrayId id) {
+    GROUT_REQUIRE(id < arrays_.size(), "unknown array id");
+    ArrayInfo& arr = arrays_[id];
+    GROUT_REQUIRE(arr.live, "use of freed array");
+    return arr;
+  }
+  const ArrayInfo& array_ref(ArrayId id) const {
+    GROUT_REQUIRE(id < arrays_.size(), "unknown array id");
+    const ArrayInfo& arr = arrays_[id];
+    GROUT_REQUIRE(arr.live, "use of freed array");
+    return arr;
+  }
+  DeviceState& device_ref(DeviceId id) {
+    GROUT_REQUIRE(id >= 0 && id < static_cast<DeviceId>(devices_.size()), "unknown device id");
+    return devices_[static_cast<std::size_t>(id)];
+  }
+  const DeviceState& device_ref(DeviceId id) const {
+    GROUT_REQUIRE(id >= 0 && id < static_cast<DeviceId>(devices_.size()), "unknown device id");
+    return devices_[static_cast<std::size_t>(id)];
+  }
+
+  [[nodiscard]] bool effective_prefetch(const ArrayInfo& arr) const {
+    return arr.prefetch_override.value_or(tuning_.prefetcher_enabled);
+  }
+
+  [[nodiscard]] Bytes page_bytes(const ArrayInfo& arr, std::uint32_t page) const {
+    const Bytes begin = static_cast<Bytes>(page) * tuning_.page_size;
+    return std::min(tuning_.page_size, arr.bytes - begin);
+  }
+
+  [[nodiscard]] ByteRange normalize_range(const ArrayInfo& arr, ByteRange range) const {
+    if (range.empty()) return ByteRange{0, arr.bytes};
+    GROUT_REQUIRE(range.end <= arr.bytes, "access range past the end of the allocation");
+    return range;
+  }
+
+  void touch_page(DeviceId device, ArrayId id, std::uint32_t page, AccessMode mode, bool hot,
+                  TouchCounters& c) {
+    ArrayInfo& arr = array_ref(id);
+    DeviceState& dev = device_ref(device);
+    PageState& st = arr.pages[page];
+    const Bytes pb = page_bytes(arr, page);
+    const std::uint16_t bit = device_bit(device);
+
+    c.touched += pb;
+    if (st.mask & bit) {
+      c.hit += pb;
+      if (st.prefetched) {
+        st.prefetched = false;
+        stats_.prefetch_useful += pb;
+      }
+    } else {
+      ++c.faults;
+      const std::uint64_t evictions_before = c.evictions;
+      while (dev.used_pages >= dev.capacity_pages) {
+        if (!evict_one(device, c)) break;
+      }
+      const bool evicted_now = c.evictions != evictions_before;
+      GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
+      const bool needs_copy = st.populated;
+
+      if (uvm::writes(mode)) {
+        for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      } else if (arr.advise == Advise::ReadMostly) {
+        st.mask |= bit;
+      } else {
+        for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      }
+      ++dev.used_pages;
+      if (!(st.ever_mask & bit)) {
+        st.ever_mask |= bit;
+        ++dev.sticky_pages;
+        ++arr.sticky_per_device[device];
+      }
+      dev.ring.push_back(RingEntry{id, page});
+      if (dev.ring.size() > std::max<std::size_t>(4 * dev.capacity_pages, 1024)) {
+        compact_ring(dev);
+      }
+
+      st.prefetched = false;
+      if (!needs_copy) {
+        c.populate_alloc += pb;
+      } else if (evicted_now) {
+        c.evict_fetch += pb;
+      } else {
+        c.healthy_fetch += pb;
+        if (!effective_prefetch(arr)) c.healthy_fetch_nopf += pb;
+      }
+    }
+
+    if (uvm::writes(mode)) st.populated = true;
+
+    if (uvm::writes(mode) && (st.mask & ~bit) != 0) {
+      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+        if (d != device && (st.mask & device_bit(d))) {
+          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+          --devices_[d].used_pages;
+        }
+      }
+      st.mask = bit;
+    }
+
+    st.touch_epoch = dev.current_epoch;
+    st.hot = hot;
+  }
+
+  bool evict_one(DeviceId device, TouchCounters& c) {
+    DeviceState& dev = device_ref(device);
+    const std::uint16_t bit = device_bit(device);
+    std::size_t second_chances = 0;
+
+    if (eviction_ == EvictionPolicyKind::Random) {
+      for (int attempt = 0; attempt < 16 && !dev.ring.empty(); ++attempt) {
+        const std::size_t idx = static_cast<std::size_t>(rng_.next_below(dev.ring.size()));
+        const RingEntry entry = dev.ring[idx];
+        dev.ring[idx] = dev.ring.back();
+        dev.ring.pop_back();
+        ArrayInfo& arr = arrays_[entry.array];
+        if (!arr.live || entry.page >= arr.pages.size()) continue;
+        if (!(arr.pages[entry.page].mask & bit)) continue;
+        drop_residency(entry.array, entry.page, device, c);
+        ++c.evictions;
+        return true;
+      }
+    }
+
+    std::size_t iterations = dev.ring.size() + kEvictionScanLimit;
+    while (iterations-- > 0 && !dev.ring.empty()) {
+      const RingEntry entry = dev.ring.front();
+      dev.ring.pop_front();
+      ArrayInfo& arr = arrays_[entry.array];
+      if (!arr.live || entry.page >= arr.pages.size()) continue;
+      PageState& st = arr.pages[entry.page];
+      if (!(st.mask & bit)) continue;
+
+      if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit) {
+        const bool protected_hot = st.hot && st.touch_epoch == dev.current_epoch;
+        const bool preferred_here =
+            arr.advise == Advise::PreferredLocation && arr.advise_device == device;
+        if (protected_hot || preferred_here) {
+          dev.ring.push_back(entry);
+          ++second_chances;
+          continue;
+        }
+      }
+
+      drop_residency(entry.array, entry.page, device, c);
+      ++c.evictions;
+      return true;
+    }
+    return false;
+  }
+
+  void drop_residency(ArrayId id, std::uint32_t page, DeviceId device, TouchCounters& c) {
+    ArrayInfo& arr = arrays_[id];
+    PageState& st = arr.pages[page];
+    const std::uint16_t bit = device_bit(device);
+    GROUT_CHECK((st.mask & bit) != 0, "dropping a page that is not resident here");
+    st.mask &= static_cast<std::uint16_t>(~bit);
+    st.prefetched = false;
+    --devices_[device].used_pages;
+    if (st.mask == 0) {
+      st.mask = host_bit();
+      if (st.populated) c.writeback += page_bytes(arr, page);
+    }
+  }
+
+  void compact_ring(DeviceState& dev) {
+    const std::uint16_t bit = device_bit(static_cast<DeviceId>(&dev - devices_.data()));
+    std::unordered_set<std::uint64_t> seen;
+    std::deque<RingEntry> fresh;
+    for (const RingEntry& entry : dev.ring) {
+      const ArrayInfo& arr = arrays_[entry.array];
+      if (!arr.live || entry.page >= arr.pages.size()) continue;
+      if (!(arr.pages[entry.page].mask & bit)) continue;
+      const std::uint64_t key = (static_cast<std::uint64_t>(entry.array) << 32) | entry.page;
+      if (seen.insert(key).second) fresh.push_back(entry);
+    }
+    dev.ring = std::move(fresh);
+  }
+
+  template <typename PageFn>
+  void for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
+                     PageFn&& fn) {
+    const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const auto last = static_cast<std::uint32_t>(std::min<Bytes>(
+        (range.end + tuning_.page_size - 1) / tuning_.page_size, arr.pages.size()));
+    if (first >= last) return;
+    const std::uint32_t n = last - first;
+
+    if (const auto* s = std::get_if<uvm::StreamingPattern>(&pattern)) {
+      for (std::uint32_t pass = 0; pass < s->passes; ++pass) {
+        for (std::uint32_t p = first; p < last; ++p) fn(p, false);
+      }
+    } else if (std::get_if<uvm::HotReusePattern>(&pattern)) {
+      for (std::uint32_t p = first; p < last; ++p) fn(p, true);
+    } else if (const auto* r = std::get_if<uvm::RandomPattern>(&pattern)) {
+      Rng rng(r->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
+      const auto touches = static_cast<std::uint64_t>(std::llround(r->fraction * n));
+      for (std::uint64_t i = 0; i < touches; ++i) {
+        fn(first + static_cast<std::uint32_t>(rng.next_below(n)), false);
+      }
+    } else if (const auto* st = std::get_if<uvm::StridedPattern>(&pattern)) {
+      GROUT_REQUIRE(st->stride > 0, "zero stride");
+      for (std::uint32_t p = first; p < last; p += st->stride) fn(p, false);
+    }
+  }
+
+  sim::Engine& sim_;
+  UvmTuning tuning_;
+  EvictionPolicyKind eviction_;
+  Rng rng_;
+  std::vector<ArrayInfo> arrays_;
+  std::vector<DeviceState> devices_;
+  std::size_t live_arrays_{0};
+  Bytes live_bytes_{0};
+  Bytes total_capacity_bytes_{0};
+  std::uint32_t epoch_counter_{0};
+  UvmStats stats_;
+};
+
+}  // namespace grout::oracle

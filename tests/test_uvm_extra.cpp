@@ -164,6 +164,26 @@ TEST_F(UvmExtra, DuplicatedPageEvictionNeedsNoWriteback) {
   EXPECT_EQ(r.writeback, 0u);
 }
 
+TEST_F(UvmExtra, EvictingOneDuplicateKeepsHighDeviceCopies) {
+  // Device 7's residency bit is bit 8 of the mask: evicting the device-0
+  // copy of a read-duplicated page must leave it set, and its slot counted.
+  rebuild(tuning_1mib(), 8_MiB, 8);
+  const ArrayId shared = alloc_populated(1_MiB, "shared");
+  space->advise(shared, Advise::ReadMostly);
+  access(0, shared, StreamingPattern{});
+  access(7, shared, StreamingPattern{});
+  const ArrayId filler = alloc_populated(8_MiB, "filler");
+  const AccessReport r = access(0, filler, StreamingPattern{});
+  EXPECT_EQ(r.evictions, 1u);
+  EXPECT_FALSE(space->page_resident(shared, 0, 0));
+  EXPECT_TRUE(space->page_resident(shared, 0, 7));
+  EXPECT_EQ(space->resident_bytes(7), 1_MiB);
+  // A host write supersedes the remaining copy and releases device 7's slot.
+  space->host_access(shared, AccessMode::Write);
+  EXPECT_FALSE(space->page_resident(shared, 0, 7));
+  EXPECT_EQ(space->resident_bytes(7), 0u);
+}
+
 TEST_F(UvmExtra, CrossDeviceMigrationKeepsCounts) {
   const ArrayId id = alloc_populated(4_MiB);
   access(0, id, StreamingPattern{});
