@@ -738,12 +738,12 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     // P2P branch: pick the up-to-date worker with the fastest *live* route.
     // A zero-bandwidth (degraded/down) link disqualifies a source — it must
     // never be silently picked as a fallback.
-    const std::vector<std::size_t> sources = holders.worker_holders();
+    // Holders are visited in ascending order, so ties go to the lowest id.
     GROUT_CHECK(holders.any(), "no source for a required parameter");
     std::size_t best = 0;
     double best_bps = 0.0;
     bool found = false;
-    for (const std::size_t s : sources) {
+    holders.for_each_worker([&](std::size_t s) {
       const double bps =
           cluster_->fabric().bandwidth(cluster::Cluster::worker_fabric_id(s), dst_fid).bps();
       if (bps > best_bps) {
@@ -751,7 +751,7 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
         best = s;
         found = true;
       }
-    }
+    });
     GROUT_CHECK(found,
                 "required array unreachable: every route from an up-to-date holder "
                 "has zero bandwidth");
@@ -825,14 +825,14 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
     if (directory_.up_to_date_on_controller(array)) return wait_controller_copy(array);
   }
   const LocationSet& holders = directory_.holders(array);
-  const std::vector<std::size_t> sources = holders.worker_holders();
-  GROUT_CHECK(!sources.empty(), "no holder for array");
-  // Fastest live route to the controller; zero-bandwidth routes disqualify
-  // a source rather than being silently picked as sources.front().
+  // The controller holds no current copy here, so every holder is a worker.
+  GROUT_CHECK(holders.any(), "no holder for array");
+  // Fastest live route to the controller, lowest id on ties; zero-bandwidth
+  // routes disqualify a source rather than it being silently picked first.
   std::size_t best = 0;
   double best_bps = 0.0;
   bool found = false;
-  for (const std::size_t s : sources) {
+  holders.for_each_worker([&](std::size_t s) {
     const double bps = cluster_->fabric()
                            .bandwidth(cluster::Cluster::worker_fabric_id(s),
                                       cluster::Cluster::controller_id())
@@ -842,7 +842,7 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
       best = s;
       found = true;
     }
-  }
+  });
   GROUT_CHECK(found,
               "array unreachable: every route from an up-to-date holder to the "
               "controller has zero bandwidth");

@@ -90,16 +90,18 @@ void MemoryGovernor::make_room(std::size_t w, const std::vector<PlacementParam>&
                                TenantId tenant) {
   if (!bounded()) return;
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
+  // The CE's distinct arrays: a handful, so a linear scan beats hashing.
   Bytes incoming = 0;
-  std::unordered_set<GlobalArrayId> needed;
+  keep_.clear();
   for (const PlacementParam& p : params) {
-    if (!needed.insert(p.array).second) continue;
+    if (std::find(keep_.begin(), keep_.end(), p.array) != keep_.end()) continue;
+    keep_.push_back(p.array);
     if (!replicas_[w].contains(p.array)) incoming += p.bytes;
   }
   const std::uint64_t evictions_before = metrics_.evictions;
   const std::uint64_t spills_before = metrics_.spills;
   while (resident_[w] + incoming > budget_) {
-    if (!evict_one(w, needed, tenant)) break;  // everything left is pinned or protected
+    if (!evict_one(w, keep_, tenant)) break;  // everything left is pinned or protected
   }
   if (background_eviction()) {
     // With the background pipeline on, dispatch-path eviction is the
@@ -112,13 +114,14 @@ void MemoryGovernor::make_room(std::size_t w, const std::vector<PlacementParam>&
 
 bool MemoryGovernor::note_ensure(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto [it, fresh] = replicas_[w].try_emplace(id);
+  bool fresh = false;
+  Replica& rep = replicas_[w].emplace(id, fresh);
   if (!fresh) return false;
-  it->second.bytes = directory_.bytes_of(id);
-  it->second.last_use = cluster_.simulator().now();
-  resident_[w] += it->second.bytes;
+  rep.bytes = directory_.bytes_of(id);
+  rep.last_use = cluster_.simulator().now();
+  resident_[w] += rep.bytes;
   high_water_[w] = std::max(high_water_[w], resident_[w]);
-  credit_tenant(id, it->second.bytes);
+  credit_tenant(id, rep.bytes);
   if (evicted_once_[w].contains(id)) ++metrics_.refetches;
   maybe_arm_sweep(w);
   return true;
@@ -126,30 +129,30 @@ bool MemoryGovernor::note_ensure(std::size_t w, GlobalArrayId id) {
 
 void MemoryGovernor::note_use(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  GROUT_REQUIRE(it != replicas_[w].end(), "use of an untracked replica");
-  it->second.last_use = cluster_.simulator().now();
+  Replica* rep = replicas_[w].find(id);
+  GROUT_REQUIRE(rep != nullptr, "use of an untracked replica");
+  rep->last_use = cluster_.simulator().now();
 }
 
 void MemoryGovernor::pin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  GROUT_REQUIRE(it != replicas_[w].end(), "pin of an untracked replica");
-  ++it->second.pins;
+  Replica* rep = replicas_[w].find(id);
+  GROUT_REQUIRE(rep != nullptr, "pin of an untracked replica");
+  ++rep->pins;
 }
 
 void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  if (it == replicas_[w].end()) return;  // dropped with a dead worker
-  GROUT_CHECK(it->second.pins > 0, "replica pin count underflow");
-  --it->second.pins;
-  if (it->second.pins > 0 || !drain_watch_[w]) return;
+  Replica* rep = replicas_[w].find(id);
+  if (rep == nullptr) return;  // dropped with a dead worker
+  GROUT_CHECK(rep->pins > 0, "replica pin count underflow");
+  --rep->pins;
+  if (rep->pins > 0 || !drain_watch_[w]) return;
   // Drain-watched worker: if that was its last pin anywhere, notify the
   // drain listener from a fresh sim event (unpin may run inside another
   // completion callback, which must not re-enter the runtime inline).
-  for (const auto& [_, rep] : replicas_[w]) {
-    if (rep.pins > 0) return;
+  for (const Replica& other : replicas_[w].slots()) {
+    if (other.pins > 0) return;
   }
   drain_watch_[w] = false;
   if (drain_listener_) {
@@ -161,9 +164,8 @@ void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
 void MemoryGovernor::enforce(std::size_t w) {
   if (!bounded()) return;
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const std::unordered_set<GlobalArrayId> keep;
   while (resident_[w] > budget_) {
-    if (!evict_one(w, keep)) break;
+    if (!evict_one(w, {})) break;
   }
 }
 
@@ -176,7 +178,7 @@ void MemoryGovernor::drop_worker(std::size_t w) {
   cluster_.fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
       cluster_.worker_domain(w), [&worker] { worker.release_all(); }, /*reliable=*/true);
-  for (const auto& [id, rep] : replicas_[w]) debit_tenant(id, rep.bytes);
+  for (const Replica& rep : replicas_[w].slots()) debit_tenant(rep.id, rep.bytes);
   resident_[w] = 0;
   replicas_[w].clear();
   evicted_once_[w].clear();
@@ -200,16 +202,16 @@ void MemoryGovernor::watch_drain(std::size_t w) {
 std::size_t MemoryGovernor::drain_worker(std::size_t w) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   std::vector<GlobalArrayId> victims;
-  victims.reserve(replicas_[w].size());
+  victims.reserve(replicas_[w].slots().size());
   std::size_t pinned = 0;
-  for (const auto& [id, rep] : replicas_[w]) {
+  for (const Replica& rep : replicas_[w].slots()) {
     if (rep.pins > 0) {
       ++pinned;
       continue;
     }
-    victims.push_back(id);
+    victims.push_back(rep.id);
   }
-  // Deterministic migration order (unordered_map iteration is not).
+  // Deterministic migration order (slot order is not).
   std::sort(victims.begin(), victims.end());
   for (const GlobalArrayId id : victims) {
     const LocationSet& holders = directory_.holders(id);
@@ -220,7 +222,7 @@ std::size_t MemoryGovernor::drain_worker(std::size_t w) {
                                  cluster::Cluster::controller_id())
                       .bps() > 0.0,
                   "cannot drain: sole up-to-date copy has no route to the controller");
-      metrics_.drain_migrated_bytes += replicas_[w].at(id).bytes;
+      metrics_.drain_migrated_bytes += replicas_[w].find(id)->bytes;
     }
     evict(w, id, sole);
   }
@@ -251,11 +253,10 @@ void MemoryGovernor::background_sweep(std::size_t w) {
   // low mark — including across batch-cap yields.
   if (resident_[w] <= worker_low_mark_) return;  // pressure resolved meanwhile
   ++metrics_.bg_sweeps;
-  const std::unordered_set<GlobalArrayId> keep;
   Bytes reclaimed = 0;
   while (resident_[w] > worker_low_mark_ && reclaimed < spill_.sweep_batch) {
     const Bytes before = resident_[w];
-    if (!evict_one(w, keep)) break;  // everything left is pinned
+    if (!evict_one(w, {})) break;  // everything left is pinned
     reclaimed += before - resident_[w];
     ++metrics_.bg_evictions;
   }
@@ -269,20 +270,40 @@ void MemoryGovernor::background_sweep(std::size_t w) {
   }
 }
 
-bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArrayId>& keep,
+bool MemoryGovernor::evict_one(std::size_t w, std::span<const GlobalArrayId> keep,
                                TenantId requester) {
   const net::NodeId dst = cluster::Cluster::worker_fabric_id(w);
+  const net::NodeId ctl = cluster::Cluster::controller_id();
   const net::NetworkFabric& fabric = cluster_.fabric();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Bandwidth queries are pure and answer the same for every candidate:
+  // the controller links once per scan, each peer link at most once.
+  const bool uplink = fabric.bandwidth(dst, ctl).bps() > 0.0;
+  const double downlink_bps = fabric.bandwidth(ctl, dst).bps();
+  peer_bps_.assign(cluster_.worker_count(), -1.0);
+  const auto peer_bps = [&](std::size_t s) {
+    double& bps = peer_bps_[s];
+    if (bps < 0.0) bps = fabric.bandwidth(cluster::Cluster::worker_fabric_id(s), dst).bps();
+    return bps;
+  };
 
   bool found = false;
   GlobalArrayId victim = 0;
   double victim_cost = kInf;
   SimTime victim_use = SimTime::max();
+  Bytes victim_bytes = 0;
   bool victim_sole = false;
   bool victim_dead = false;
-  for (const auto& [id, rep] : replicas_[w]) {
-    if (rep.pins > 0 || keep.contains(id)) continue;
+  for (const Replica& rep : replicas_[w].slots()) {
+    const GlobalArrayId id = rep.id;
+    if (rep.pins > 0 || std::find(keep.begin(), keep.end(), id) != keep.end()) continue;
+    // A candidate that cannot outrank the victim so far even at zero cost
+    // (and predicted dead, when a predictor is set) is passed over before
+    // its directory lookup; the order below would reject it anyway.
+    if (found && victim_cost == 0.0 && (victim_dead || !dead_predictor_) &&
+        (rep.last_use > victim_use || (rep.last_use == victim_use && id > victim))) {
+      continue;
+    }
     const LocationSet& holders = directory_.holders(id);
     const bool holder = holders.worker(w);
     const bool sole = holder && holders.holder_count() == 1;
@@ -303,17 +324,13 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
       if (sole) {
         // A sole copy must be spilled first; a dead uplink makes it
         // unevictable, not silently droppable.
-        if (fabric.bandwidth(dst, cluster::Cluster::controller_id()).bps() <= 0.0) continue;
-        best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
+        if (!uplink) continue;
+        best_bps = downlink_bps;
       } else {
-        if (holders.controller()) {
-          best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
-        }
-        for (const std::size_t s : holders.worker_holders()) {
-          if (s == w) continue;
-          best_bps = std::max(
-              best_bps, fabric.bandwidth(cluster::Cluster::worker_fabric_id(s), dst).bps());
-        }
+        if (holders.controller()) best_bps = downlink_bps;
+        holders.for_each_worker([&](std::size_t s) {
+          if (s != w) best_bps = std::max(best_bps, peer_bps(s));
+        });
       }
       cost = best_bps > 0.0
                  ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
@@ -334,6 +351,7 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
       victim = id;
       victim_cost = cost;
       victim_use = rep.last_use;
+      victim_bytes = rep.bytes;
       victim_sole = sole;
       victim_dead = dead;
     }
@@ -341,14 +359,14 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
   if (!found) return false;
   if (victim_dead) {
     ++metrics_.predicted_dead_evictions;
-    metrics_.predicted_dead_bytes_evicted += replicas_[w].at(victim).bytes;
+    metrics_.predicted_dead_bytes_evicted += victim_bytes;
   }
   evict(w, victim, victim_sole);
   return true;
 }
 
 void MemoryGovernor::evict(std::size_t w, GlobalArrayId id, bool sole_holder) {
-  const Replica rep = replicas_[w].at(id);
+  const Replica rep = *replicas_[w].find(id);
   const SimTime now = cluster_.simulator().now();
 
   if (sole_holder) {
@@ -449,6 +467,41 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
         });
   }
   return landed;
+}
+
+MemoryGovernor::Replica* MemoryGovernor::ReplicaTable::find(GlobalArrayId id) {
+  if (id >= slot_of_.size() || slot_of_[id] == kNoSlot) return nullptr;
+  return &slots_[slot_of_[id]];
+}
+
+bool MemoryGovernor::ReplicaTable::contains(GlobalArrayId id) const {
+  return id < slot_of_.size() && slot_of_[id] != kNoSlot;
+}
+
+MemoryGovernor::Replica& MemoryGovernor::ReplicaTable::emplace(GlobalArrayId id, bool& fresh) {
+  if (id >= slot_of_.size()) slot_of_.resize(std::size_t{id} + 1, kNoSlot);
+  fresh = slot_of_[id] == kNoSlot;
+  if (fresh) {
+    slot_of_[id] = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Replica{id});
+  }
+  return slots_[slot_of_[id]];
+}
+
+void MemoryGovernor::ReplicaTable::erase(GlobalArrayId id) {
+  GROUT_REQUIRE(contains(id), "erase of an untracked replica");
+  const std::uint32_t slot = slot_of_[id];
+  slot_of_[id] = kNoSlot;
+  if (slot + 1 != slots_.size()) {
+    slots_[slot] = slots_.back();
+    slot_of_[slots_[slot].id] = slot;
+  }
+  slots_.pop_back();
+}
+
+void MemoryGovernor::ReplicaTable::clear() {
+  slots_.clear();
+  slot_of_.clear();
 }
 
 }  // namespace grout::core

@@ -39,7 +39,7 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -189,16 +189,38 @@ class MemoryGovernor {
 
  private:
   struct Replica {
+    GlobalArrayId id{0};
     Bytes bytes{0};
     SimTime last_use{SimTime::zero()};
     int pins{0};
+  };
+
+  /// One worker's replicas as a flat table: the victim scan walks `slots()`
+  /// contiguously, and an index by array id (grown on demand; global array
+  /// ids are dense) finds a replica in O(1). Erasing moves the last slot
+  /// into the hole, so slot order is arbitrary — every reader either
+  /// aggregates or ranks by a total order.
+  class ReplicaTable {
+   public:
+    [[nodiscard]] Replica* find(GlobalArrayId id);
+    [[nodiscard]] bool contains(GlobalArrayId id) const;
+    /// The replica of `id`, value-initialized and `fresh` if it was absent.
+    Replica& emplace(GlobalArrayId id, bool& fresh);
+    void erase(GlobalArrayId id);
+    void clear();
+    [[nodiscard]] const std::vector<Replica>& slots() const { return slots_; }
+
+   private:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    std::vector<Replica> slots_;
+    std::vector<std::uint32_t> slot_of_;
   };
 
   /// Evict the cheapest-to-refetch cold replica on `w` (skipping `keep`).
   /// When `requester` is a serving tenant, other tenants' up-to-date
   /// replicas are off limits (stale ones are fair game — the worker would
   /// refetch them anyway). Returns false when nothing is evictable.
-  bool evict_one(std::size_t w, const std::unordered_set<GlobalArrayId>& keep,
+  bool evict_one(std::size_t w, std::span<const GlobalArrayId> keep,
                  TenantId requester = kNoTenant);
   void evict(std::size_t w, GlobalArrayId id, bool sole_holder);
   /// Adjust the owning tenant's cluster-wide resident accounting.
@@ -238,7 +260,7 @@ class MemoryGovernor {
   std::vector<bool> sweep_armed_;
   std::vector<Bytes> resident_;
   std::vector<Bytes> high_water_;
-  std::vector<std::unordered_map<GlobalArrayId, Replica>> replicas_;
+  std::vector<ReplicaTable> replicas_;
   /// Arrays each worker evicted at least once: a later re-ensure there is a
   /// refetch (the cost the victim picker trades against).
   std::vector<std::unordered_set<GlobalArrayId>> evicted_once_;
@@ -252,6 +274,10 @@ class MemoryGovernor {
   std::vector<bool> drain_watch_;
   std::function<void(std::size_t)> drain_listener_;
   std::function<bool(std::size_t, GlobalArrayId)> dead_predictor_;
+  /// Scratch reused across calls: make_room's distinct CE arrays, and the
+  /// victim scan's per-peer bandwidth memo (negative = not queried yet).
+  std::vector<GlobalArrayId> keep_;
+  std::vector<double> peer_bps_;
 };
 
 }  // namespace grout::core

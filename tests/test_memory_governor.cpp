@@ -143,9 +143,11 @@ struct GovernorRig {
         directory(workers),
         governor(cluster, directory, metrics, budget) {}
 
-  /// Register + ensure + account an array on worker `w`.
-  GlobalArrayId add(std::size_t w, Bytes bytes, const std::string& name) {
+  /// Register + ensure + account an array on worker `w`, owned by `owner`.
+  GlobalArrayId add(std::size_t w, Bytes bytes, const std::string& name,
+                    TenantId owner = kNoTenant) {
     const GlobalArrayId id = directory.register_array(bytes, name);
+    if (owner != kNoTenant) governor.set_array_owner(id, owner);
     cluster.worker(w).ensure_array(id, bytes, name);
     governor.note_ensure(w, id);
     return id;
@@ -292,6 +294,129 @@ TEST(GovernorVictims, UnboundedBudgetNeverEvicts) {
   rig.governor.enforce(0);
   EXPECT_EQ(rig.metrics.evictions, 0u);
   EXPECT_EQ(rig.governor.resident_bytes(0), 4_MiB);
+}
+
+// ---------------------------------------------------------------------------
+// Victim order under each quantity the scan hoists out of its loop
+// ---------------------------------------------------------------------------
+
+/// Make worker `w` the exclusive holder of `id`, then add up-to-date copies
+/// on `peers` (the controller holds no copy).
+void hold_on_workers(CoherenceDirectory& dir, GlobalArrayId id, std::size_t w,
+                     std::initializer_list<std::size_t> peers) {
+  dir.written_on_worker(id, w);
+  for (const std::size_t p : peers) dir.add_worker_copy(id, p);
+}
+
+TEST(GovernorVictimOrder, BestPeerBandwidthOverManyHolders) {
+  // Four replicas on w0, equal size and last use, registered so that every
+  // cost tie would go to the wrong one by array id. The refetch cost of
+  // each is set by its fastest other holder: A's is w2 (10 Gbit/s) among
+  // three peers, H's the controller (5 Gbit/s), C's w3 (1 Gbit/s) and B's
+  // w1 (100 Mbit/s). Taking A's first or last peer instead of its best
+  // would tie it with B or C, and the tie would evict them first.
+  GovernorRig rig(4_MiB, 4);
+  net::NetworkFabric& fabric = rig.cluster.fabric();
+  const net::NodeId w0 = cluster::Cluster::worker_fabric_id(0);
+  fabric.set_link_override(cluster::Cluster::worker_fabric_id(1), w0,
+                           Bandwidth::mbit_per_sec(100));
+  fabric.set_link_override(cluster::Cluster::worker_fabric_id(2), w0,
+                           Bandwidth::mbit_per_sec(10000));
+  fabric.set_link_override(cluster::Cluster::worker_fabric_id(3), w0,
+                           Bandwidth::mbit_per_sec(1000));
+  fabric.set_link_override(cluster::Cluster::controller_id(), w0,
+                           Bandwidth::mbit_per_sec(5000));
+
+  const GlobalArrayId h = rig.add(0, 1_MiB, "H");
+  rig.directory.add_worker_copy(h, 0);  // controller + w0
+  const GlobalArrayId b = rig.add(0, 1_MiB, "B");
+  hold_on_workers(rig.directory, b, 0, {1});
+  const GlobalArrayId c = rig.add(0, 1_MiB, "C");
+  hold_on_workers(rig.directory, c, 0, {3});
+  const GlobalArrayId a = rig.add(0, 1_MiB, "A");
+  hold_on_workers(rig.directory, a, 0, {1, 2, 3});
+  const GlobalArrayId incoming = rig.directory.register_array(3_MiB, "incoming");
+  ASSERT_EQ(rig.governor.resident_bytes(0), 4_MiB);
+
+  // Each round makes room for one more MiB: exactly one more eviction.
+  const std::vector<GlobalArrayId> expected{a, h, c};
+  for (std::size_t round = 0; round < expected.size(); ++round) {
+    rig.governor.make_room(0, {{incoming, (round + 1) * 1_MiB, true}});
+    EXPECT_EQ(rig.metrics.evictions, round + 1);
+    EXPECT_FALSE(rig.directory.up_to_date_on_worker(expected[round], 0))
+        << "round " << round << " evicted the wrong replica";
+  }
+  EXPECT_TRUE(rig.directory.up_to_date_on_worker(b, 0));
+  EXPECT_EQ(rig.metrics.spills, 0u);  // never a sole copy
+}
+
+TEST(GovernorVictimOrder, SoleCopyWithDeadUplinkSkippedAmongEvictables) {
+  // A sole copy whose uplink is dead is skipped even when it is the only
+  // candidate left; the stale replica next to it still goes.
+  GovernorRig rig(512_KiB, 2);
+  const GlobalArrayId sole = rig.add(0, 1_MiB, "sole");
+  rig.directory.written_on_worker(sole, 0);
+  const GlobalArrayId stale = rig.add(0, 1_MiB, "stale");
+  const GlobalArrayId held = rig.add(0, 1_MiB, "held");
+  hold_on_workers(rig.directory, held, 0, {1});
+  rig.cluster.fabric().set_link_override(cluster::Cluster::worker_fabric_id(0),
+                                         cluster::Cluster::controller_id(),
+                                         Bandwidth::mbit_per_sec(0.0));
+
+  rig.governor.enforce(0);  // wants all three gone; the sole copy cannot go
+  EXPECT_EQ(rig.metrics.evictions, 2u);
+  EXPECT_EQ(rig.metrics.spills, 0u);
+  EXPECT_TRUE(rig.directory.up_to_date_on_worker(sole, 0));
+  EXPECT_FALSE(rig.directory.up_to_date_on_worker(held, 0));
+  EXPECT_EQ(rig.governor.resident_bytes(0), 1_MiB);
+  rig.settle();
+  EXPECT_FALSE(rig.cluster.worker(0).has_array(stale));
+  EXPECT_TRUE(rig.cluster.worker(0).has_array(sole));
+}
+
+TEST(GovernorVictimOrder, TenantFilterSparesOnlyUpToDateReplicas) {
+  // Tenant 7 owns an up-to-date replica and a stale one on w0. Pressure
+  // from tenant 3 may take the stale one but never the up-to-date one;
+  // pressure from tenant 7 itself may take both.
+  constexpr TenantId kOwner = 7;
+  constexpr TenantId kOther = 3;
+  GovernorRig rig(2_MiB, 2);
+  const GlobalArrayId fresh = rig.add(0, 1_MiB, "fresh", kOwner);
+  rig.directory.add_worker_copy(fresh, 0);  // controller + w0: cheap, not sole
+  const GlobalArrayId stale = rig.add(0, 1_MiB, "stale", kOwner);  // controller only
+  const GlobalArrayId incoming = rig.directory.register_array(2_MiB, "incoming");
+
+  rig.governor.make_room(0, {{incoming, 2_MiB, true}}, kOther);
+  EXPECT_EQ(rig.metrics.evictions, 1u);
+  EXPECT_TRUE(rig.directory.up_to_date_on_worker(fresh, 0));
+  EXPECT_EQ(rig.governor.resident_bytes(0), 1_MiB);
+  EXPECT_EQ(rig.governor.tenant_resident(kOwner), 1_MiB);
+
+  rig.governor.make_room(0, {{incoming, 2_MiB, true}}, kOwner);
+  EXPECT_EQ(rig.metrics.evictions, 2u);
+  EXPECT_FALSE(rig.directory.up_to_date_on_worker(fresh, 0));
+  EXPECT_EQ(rig.governor.tenant_resident(kOwner), 0u);
+  rig.settle();
+  EXPECT_FALSE(rig.cluster.worker(0).has_array(stale));
+}
+
+TEST(GovernorVictimOrder, DuplicateParamsCountOnceAndStayKept) {
+  GovernorRig rig(3_MiB);
+  const GlobalArrayId p = rig.add(0, 1_MiB, "p");
+  const GlobalArrayId q = rig.add(0, 1_MiB, "q");
+  const GlobalArrayId x = rig.directory.register_array(1_MiB, "x");
+
+  // x listed twice still needs 1 MiB: 2 + 1 fits the 3 MiB budget.
+  rig.governor.make_room(0, {{x, 1_MiB, true}, {x, 1_MiB, true}});
+  EXPECT_EQ(rig.metrics.evictions, 0u);
+
+  // p listed twice is kept although the id tie-break ranks it first; the
+  // 2 MiB incoming forces one eviction, so q goes.
+  rig.governor.make_room(0, {{p, 1_MiB, true}, {p, 1_MiB, false}, {x, 2_MiB, true}});
+  EXPECT_EQ(rig.metrics.evictions, 1u);
+  rig.settle();
+  EXPECT_TRUE(rig.cluster.worker(0).has_array(p));
+  EXPECT_FALSE(rig.cluster.worker(0).has_array(q));
 }
 
 // ---------------------------------------------------------------------------
